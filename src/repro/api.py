@@ -221,6 +221,7 @@ def simulate(
         if tracer is not None:
             detach_tracer(chip)
             tracer.close()
+        chip.release()
     wall = time.perf_counter() - start
     if chip.sim.watchdog is None:
         watchdog_verdict = "off"

@@ -525,6 +525,24 @@ class Chip:
         stats.cow_breaks = self.workload.cow_breaks
         return stats
 
+    def release(self) -> None:
+        """Finish every core's trace stream and drop the workload's
+        region caches; the chip cannot run afterwards.
+
+        The streams' batch arrays live in generator frames, which the
+        chip's reference cycles keep alive until the cyclic GC happens
+        to run.  :func:`repro.api.simulate` calls this once a run has
+        been observed, so back-to-back runs return that memory
+        deterministically.
+        """
+        for core in self.cores:
+            close = getattr(core._trace, "close", None)
+            if close is not None:
+                close()
+        drop_caches = getattr(self.workload, "drop_caches", None)
+        if drop_caches is not None:
+            drop_caches()
+
     def per_vm_operations(self) -> Dict[int, int]:
         """Committed operations per VM (the isolation/fairness view).
 

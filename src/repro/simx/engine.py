@@ -42,7 +42,6 @@ from typing import Callable, Optional, Tuple
 from ..core.states import L1State
 from ..sim.chip import Chip, Core, _INLINE_OPS
 from ..stats.counters import RunStats
-from ..workloads.generator import _CHUNK
 from .handlers import compile_protocol_handlers
 from .helpers import (
     install_fast_cache_methods,
@@ -61,10 +60,11 @@ def make_runner(
     Callable[[Optional[int]], None],
     Callable[[], None],
     Callable[[], None],
+    Callable[[], None],
 ]:
     """Compile the issue runner (and its maintenance hooks) for one core.
 
-    Returns ``(runner, rebind, sync, flush)``.  The runner closure
+    Returns ``(runner, rebind, sync, flush, close)``.  The runner closure
     replaces ``core._issue``; *all* per-core state — the chunked op
     stream, the translation memo, the batched counters, and the
     run-scoped values the first version re-read from attributes on
@@ -92,7 +92,9 @@ def make_runner(
 
     The flush closure adds the batched counters into the *current*
     stats objects and zeroes them; the chip calls it at every
-    observation boundary.
+    observation boundary.  ``close()`` finishes the core's chunk
+    stream (:meth:`ArrayChip.release`); the runner cannot issue after
+    it.
     """
     proto = chip.protocol
     sim = chip.sim
@@ -144,7 +146,9 @@ def make_runner(
         trace = core._trace
         cow_seen = 0
     c_vpages = c_offs = c_writes = c_thinks = None
-    c_pos = _CHUNK  # forces the first chunk fetch
+    # chunks vary in length (the first batch ramps up), so the runner
+    # steps by each chunk's own length; c_pos == c_len forces a fetch
+    c_pos = c_len = 0
 
     # run-scoped cells: loaded by rebind() at every run boundary,
     # written back by sync() at every observation boundary
@@ -183,7 +187,7 @@ def make_runner(
         core.ops_done = ops_done
 
     def runner() -> None:
-        nonlocal c_pos, c_vpages, c_offs, c_writes, c_thinks, cow_seen
+        nonlocal c_pos, c_len, c_vpages, c_offs, c_writes, c_thinks, cow_seen
         nonlocal pending, ops_done, done
         nonlocal n_ops, n_reads, n_writes, n_retries
         nonlocal n_st_hits, n_st_misses, n_upgrades
@@ -198,8 +202,9 @@ def make_runner(
             if pending is None:
                 if chunked:
                     i = c_pos
-                    if i == _CHUNK:
+                    if i == c_len:
                         c_vpages, c_offs, c_writes, c_thinks = next(chunks)
+                        c_len = len(c_vpages)
                         i = 0
                     c_pos = i + 1
                     vpage = c_vpages[i]
@@ -389,7 +394,12 @@ def make_runner(
         n_tag_reads = n_hits = n_misses = n_data_reads = n_data_writes = 0
         n_reads_checked = n_commits = 0
 
-    return runner, rebind, sync, flush
+    def close() -> None:
+        """Finish the chunk stream, freeing its batch arrays."""
+        if chunks is not None:
+            chunks.close()
+
+    return runner, rebind, sync, flush, close
 
 
 class ArrayChip(Chip):
@@ -403,6 +413,7 @@ class ArrayChip(Chip):
         self._flushes: list = []
         self._rebinds: list = []
         self._syncs: list = []
+        self._closes: list = []
         self._armed = False
 
     def _arm(self) -> None:
@@ -439,16 +450,20 @@ class ArrayChip(Chip):
         self._flushes = []
         self._rebinds = []
         self._syncs = []
+        self._closes = []
         # compiled per-protocol miss handlers: instance-patched before
         # the runners are compiled, so make_runner binds them
         handler_flush = compile_protocol_handlers(proto, tables)
         if handler_flush is not None:
             self._flushes.append(handler_flush)
         for core in self.cores:
-            core._issue, rebind, sync, flush = make_runner(self, core, tables)
+            core._issue, rebind, sync, flush, close = make_runner(
+                self, core, tables
+            )
             self._rebinds.append(rebind)
             self._syncs.append(sync)
             self._flushes.append(flush)
+            self._closes.append(close)
         self._armed = True
 
     def _rebind_runners(self, until: Optional[int]) -> None:
@@ -474,6 +489,12 @@ class ArrayChip(Chip):
         self._sync_runners()
         for flush in self._flushes:
             flush()
+
+    def release(self) -> None:
+        """Also finish the runners' chunk streams (see ``Chip.release``)."""
+        for close in self._closes:
+            close()
+        super().release()
 
     # the watchdog holds bound references to these two (see
     # Chip._build_watchdog); the overrides sync the runner cells first

@@ -5,15 +5,20 @@ multi-VM run — private, VM-shared and deduplicated pages, through the
 hypervisor model of :mod:`repro.mem.dedup` — and produces one memory
 reference stream per tile.
 
-Reference streams are generated in NumPy batches (the HPC guides'
-vectorize-the-hot-loop rule: page/offset/write draws for thousands of
-accesses cost one RNG call each) and then iterated one access at a
-time by the core model.  Page popularity follows a truncated Zipf
-distribution whose skew is a per-benchmark parameter; deduplicated
-pages share one popularity ranking across all VMs of the same
-benchmark, because they hold the *same* content (shared libraries,
-binaries), which maximizes the cross-VM read sharing the paper's
-protocols exploit.
+Reference streams are defined by NumPy batch draws (the HPC guides'
+vectorize-the-hot-loop rule): every ``_BATCH`` accesses cost the same
+nine RNG calls, in the same order, whatever the consumer does.
+Everything downstream of those draws is pay-as-you-go: the inverse-CDF
+lookups (region choice, Zipf rank), the block lookups and the
+ndarray-to-list conversion run per *chunk* of the batch, on the chunk's
+slice, and the first batch ramps its chunks up from 32 ops, so a core
+that commits a handful of operations pays for a handful, not for 4,096.
+
+Page popularity follows a truncated Zipf distribution whose skew is a
+per-benchmark parameter; deduplicated pages share one popularity
+ranking across all VMs of the same benchmark, because they hold the
+*same* content (shared libraries, binaries), which maximizes the
+cross-VM read sharing the paper's protocols exploit.
 
 Writes to a deduplicated page go through
 :meth:`repro.mem.dedup.DedupPageTable.translate_write`, breaking the
@@ -27,17 +32,28 @@ from typing import Dict, Iterator, List, NamedTuple, Tuple
 import numpy as np
 
 from ..mem.address import AddressMap
-from ..mem.dedup import DedupPageTable
+from ..mem.dedup import CowEvent, DedupPageTable
 from .placement import VMPlacement
 from .spec import WorkloadSpec, workload_for_vm
 
 __all__ = ["MemOp", "ConsolidatedWorkload"]
 
+#: ops per RNG batch: the nine batch draws define the stream, so this
+#: is part of every trace's identity
 _BATCH = 4096
-#: trace batches convert from ndarray to Python lists in chunks of this
-#: many ops, so a core that consumes only part of a batch (short runs,
-#: high think times) never pays for converting the rest
+#: a batch is inverted (searchsorted) and converted to Python lists in
+#: chunks of this many ops, so a core that consumes only part of a
+#: batch (short runs, high think times) never pays for the rest
 _CHUNK = 512
+#: chunk bounds of the first batch: 32, 32, 64, 128, 256, then
+#: ``_CHUNK``-op chunks.  Tiny runs commit a few ops per core; the ramp
+#: keeps their first pull at 32 ops while long runs reach full chunks
+#: within 512 ops.  Chunking never changes the stream, only where the
+#: generator pauses.
+_FIRST_BOUNDS = (0, 32, 64, 128, 256) + tuple(
+    range(_CHUNK, _BATCH + 1, _CHUNK)
+)
+_BOUNDS = tuple(range(0, _BATCH + 1, _CHUNK))
 
 
 class MemOp(NamedTuple):
@@ -52,42 +68,43 @@ class MemOp(NamedTuple):
     think: int
 
 
-def _zipf_weights(n: int, s: float) -> np.ndarray:
+def _zipf_cdf(n: int, s: float) -> np.ndarray:
+    """Cumulative truncated-Zipf distribution over ranks ``1..n``.
+
+    ``rng.choice(n, p=w)`` draws uniforms and inverts exactly this
+    cumulative sum; precomputing it once lets the trace loop replicate
+    the choice (same RNG consumption, same values) without
+    re-validating and re-accumulating ``w`` on every batch."""
     ranks = np.arange(1, n + 1, dtype=np.float64)
     w = ranks ** (-s)
-    return w / w.sum()
+    cdf = (w / w.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 class _Region:
     """One class of pages (private / vm-shared / dedup) for one thread.
 
-    Instances are read-only after construction and may be shared by
-    every thread of a VM (the VM-shared and dedup regions are
-    identical across a VM's threads)."""
+    Zipf rank ``k`` is the block at virtual page ``pages[k]``, offset
+    ``offs[k]`` (the ranking already permuted).  Both are ndarrays:
+    :meth:`pick` converts only the ranks a chunk actually draws, so no
+    per-block Python object is ever built.  Instances are read-only and
+    may be shared by every thread of a VM (the VM-shared and dedup
+    regions are identical across its threads)."""
 
-    __slots__ = ("vpages", "weights", "cdf", "_pairs")
+    __slots__ = ("pages", "offs", "cdf")
 
-    def __init__(self, vpages: np.ndarray, weights: np.ndarray) -> None:
-        self.vpages = vpages
-        self.weights = weights
-        # ``rng.choice(n, p=w)`` internally draws uniforms and inverts
-        # the cumulative distribution; precomputing the cdf once lets
-        # the trace loop replicate it exactly (same RNG consumption,
-        # same values) without re-validating/re-accumulating ``w`` on
-        # every batch
-        if len(weights):
-            cdf = weights.cumsum()
-            cdf /= cdf[-1]
-            self.cdf = cdf
-        else:
-            self.cdf = weights
-        self._pairs: List[List[int]] | None = None
+    def __init__(
+        self, pages: np.ndarray, offs: np.ndarray, cdf: np.ndarray
+    ) -> None:
+        self.pages = pages
+        self.offs = offs
+        self.cdf = cdf
 
-    def pairs(self) -> List[List[int]]:
-        """``vpages`` as plain Python lists, converted once."""
-        if self._pairs is None:
-            self._pairs = self.vpages.tolist()
-        return self._pairs
+    def pick(self, u: np.ndarray) -> Tuple[List[int], List[int]]:
+        """``(vpages, offs)`` of the blocks the uniforms ``u`` select."""
+        k = self.cdf.searchsorted(u, side="right")
+        return self.pages[k].tolist(), self.offs[k].tolist()
 
 
 class ConsolidatedWorkload:
@@ -297,45 +314,47 @@ class ConsolidatedWorkload:
         self._region_cache.pop((vm, "dedup"), None)
         return retired
 
+    def drop_caches(self) -> None:
+        """Forget the cached regions and Zipf cdfs (rebuilt on the next
+        stream's first pull); streams already started keep theirs."""
+        self._region_cache.clear()
+        self._zipf_cache.clear()
+
     def _regions_for(self, vm: int, thread: int) -> List[_Region]:
         """Block-granular regions with Zipf popularity.
 
-        Each region is a flat array of ``(vpage, block_in_page)`` pairs;
-        the Zipf ranking is permuted per VM for the VM-shared region (one
-        hot set per VM) and shared across VMs for the dedup region (the
-        pages hold identical content, so the hot blocks coincide —
+        The Zipf ranking is permuted per VM for the VM-shared region
+        (one hot set per VM) and shared across VMs for the dedup region
+        (the pages hold identical content, so the hot blocks coincide —
         which is what makes cross-VM providers useful).
         """
         spec = self.spec_by_vm[vm]
         bpp = self.addr.blocks_per_page
 
-        def blocks_of(page_lo: int, n_pages: int) -> np.ndarray:
-            pages = np.repeat(np.arange(page_lo, page_lo + n_pages), bpp)
-            offs = np.tile(np.arange(bpp), n_pages)
-            return np.stack([pages, offs], axis=1)
-
-        def make_region(blocks: np.ndarray, permute_seed) -> _Region:
-            n = len(blocks)
+        def make_region(base: int, n_pages: int, permute_seed) -> _Region:
+            n = n_pages * bpp
             if n == 0:
-                return _Region(blocks, np.ones(0))
+                empty = np.zeros(0, dtype=np.int64)
+                return _Region(empty, empty, empty)
             key = (n, spec.zipf_s)
-            w = self._zipf_cache.get(key)
-            if w is None:
-                w = self._zipf_cache[key] = _zipf_weights(n, spec.zipf_s)
-            if permute_seed is not None:
-                perm = np.random.default_rng(
+            cdf = self._zipf_cache.get(key)
+            if cdf is None:
+                cdf = self._zipf_cache[key] = _zipf_cdf(n, spec.zipf_s)
+            if permute_seed is None:
+                blocks = np.arange(n)
+            else:
+                blocks = np.random.default_rng(
                     (self.seed, permute_seed & 0xFFFF)
                 ).permutation(n)
-                blocks = blocks[perm]
-            return _Region(blocks, w)
+            pages, offs = np.divmod(blocks, bpp)
+            pages += base
+            return _Region(pages, offs, cdf)
 
         # private: ranking is irrelevant; the page window is per thread
         regions = [
             make_region(
-                blocks_of(
-                    self._private_base[vm] + thread * spec.private_pages,
-                    spec.private_pages,
-                ),
+                self._private_base[vm] + thread * spec.private_pages,
+                spec.private_pages,
                 None,
             )
         ]
@@ -355,7 +374,7 @@ class ConsolidatedWorkload:
             cached = self._region_cache.get((vm, kind))
             if cached is None:
                 cached = self._region_cache[(vm, kind)] = make_region(
-                    blocks_of(base, n_pages), permute_seed
+                    base, n_pages, permute_seed
                 )
             regions.append(cached)
         return regions
@@ -397,40 +416,50 @@ class ConsolidatedWorkload:
         op_cls = MemOp
         page_shift = self.addr.page_offset_bits - self.addr.block_offset_bits
         block_shift = self.addr.block_offset_bits
-        for vpages, offs, writes, thinks in self.trace_chunks(tile):
-            for i in range(_CHUNK):
-                vpage = vpages[i]
-                is_write = writes[i]
-                if is_write:
-                    ppage, _ = translate_write(vm, vpage)
-                else:
-                    if len(cow_events) != cow_seen:
-                        tcache.clear()
-                        cow_seen = len(cow_events)
-                    ppage = tcache_get(vpage)
-                    if ppage is None:
-                        ppage = tcache[vpage] = translate(vm, vpage)
-                yield op_new(
-                    op_cls,
-                    (
-                        ((ppage << page_shift) | offs[i]) << block_shift,
-                        is_write,
-                        thinks[i],
-                    ),
-                )
+        # closing this stream closes its stage-a stream too, so the
+        # batch arrays go with it (see Chip.release)
+        chunks = self.trace_chunks(tile)
+        try:
+            for chunk in chunks:
+                for vpage, off, is_write, think in zip(*chunk):
+                    if is_write:
+                        ppage, _ = translate_write(vm, vpage)
+                    else:
+                        if len(cow_events) != cow_seen:
+                            tcache.clear()
+                            cow_seen = len(cow_events)
+                        ppage = tcache_get(vpage)
+                        if ppage is None:
+                            ppage = tcache[vpage] = translate(vm, vpage)
+                    yield op_new(
+                        op_cls,
+                        (
+                            ((ppage << page_shift) | off) << block_shift,
+                            is_write,
+                            think,
+                        ),
+                    )
+        finally:
+            chunks.close()
 
     def trace_chunks(
         self, tile: int
     ) -> Iterator[Tuple[List[int], List[int], List[bool], List[int]]]:
         """Stage a of the reference stream: RNG-resolved op chunks.
 
-        Yields ``(vpages, offs, is_writes, thinks)`` parallel lists of
-        ``_CHUNK`` ops each — everything about an op except its
-        physical translation, which consumers perform per op (stage b)
-        so copy-on-write breaks land in consumption order.  All RNG
-        consumption (batch draws, reuse-window picks, scan sweeps)
-        happens here, in exactly the draw order the original one-op-at-
-        a-time generator used.
+        Yields ``(vpages, offs, is_writes, thinks)`` parallel lists —
+        everything about an op except its physical translation, which
+        consumers perform per op (stage b) so copy-on-write breaks land
+        in consumption order.  Chunks hold ``_CHUNK`` ops, except in
+        the first batch, which ramps up from 32 (``_FIRST_BOUNDS``);
+        consumers step by ``len(chunk[0])``.
+
+        The stream is defined by the per-batch RNG draws: every
+        ``_BATCH`` ops cost the same nine draws in the same order,
+        matching the original one-op-at-a-time generator.  The
+        inverse-CDF lookups and the list conversions run per chunk, on
+        the chunk's slice of those draws, and are elementwise
+        identical to running them on the whole batch.
         """
         vm = self.placement.vm_of(tile)
         thread = self.placement.thread_of(tile)
@@ -441,7 +470,7 @@ class ConsolidatedWorkload:
             [spec.frac_private, spec.frac_vm_shared, spec.frac_dedup], dtype=float
         )
         for i, r in enumerate(regions):
-            if len(r.vpages) == 0:
+            if len(r.cdf) == 0:
                 fracs[i] = 0.0
         fracs = fracs / fracs.sum()
         wprobs = (spec.write_private, spec.write_vm_shared, spec.write_dedup)
@@ -461,46 +490,42 @@ class ConsolidatedWorkload:
         )
 
         # inner-loop hoists: scalar indexing into ndarrays and attribute
-        # chains dominate the per-op cost, so batches convert to plain
-        # Python lists (one ``_CHUNK`` at a time, so a partly-consumed
-        # batch never converts its unused tail) and the loop touches
-        # only locals.  The ``rng.choice(n, p=w)`` draws are replicated
-        # as cdf.searchsorted(rng.random(...)) — numpy's own
-        # implementation with the cdf hoisted out of the loop — so the
-        # RNG consumption, draw order and values are untouched and
-        # traces stay bit-identical.
+        # chains dominate the per-op cost, so each chunk converts to
+        # plain Python lists and the loop touches only locals.  The
+        # ``rng.choice(n, p=w)`` draws are replicated as
+        # cdf.searchsorted(uniforms) — numpy's own implementation with
+        # the cdf hoisted out of the loop — and run on the chunk's slice
+        # of the batch's uniforms, so the RNG consumption, draw order
+        # and values are untouched and traces stay bit-identical.
         reuse_prob = spec.reuse_prob
         reuse_window = spec.reuse_window
         scan_frac = spec.dedup_scan_frac
-        region_pairs = [r.pairs() for r in regions]
         fracs_cdf = fracs.cumsum()
         fracs_cdf /= fracs_cdf[-1]
 
+        bounds = _FIRST_BOUNDS
         while True:
-            region_ids_a = fracs_cdf.searchsorted(
-                rng.random(size=_BATCH), side="right"
-            )
+            region_u_a = rng.random(size=_BATCH)
             reuse_draw_a = rng.random(size=_BATCH)
             reuse_pick_a = rng.integers(0, max(1, reuse_window), size=_BATCH)
             wdraw_a = rng.random(size=_BATCH)
             thinks_a = rng.integers(think_lo, think_hi + 1, size=_BATCH)
-            fresh_a = [
-                r.cdf.searchsorted(rng.random(size=_BATCH), side="right")
-                if len(r.vpages)
-                else None
-                for r in regions
+            fresh_u_a = [
+                rng.random(size=_BATCH) if len(r.cdf) else None for r in regions
             ]
             scan_draw_a = rng.random(size=_BATCH)
-            for lo in range(0, _BATCH, _CHUNK):
-                hi = lo + _CHUNK
-                region_ids = region_ids_a[lo:hi].tolist()
+            for lo, hi in zip(bounds, bounds[1:]):
+                region_ids = fracs_cdf.searchsorted(
+                    region_u_a[lo:hi], side="right"
+                ).tolist()
                 reuse_draw = reuse_draw_a[lo:hi].tolist()
                 reuse_pick = reuse_pick_a[lo:hi].tolist()
                 wdraw = wdraw_a[lo:hi].tolist()
                 thinks = thinks_a[lo:hi].tolist()
-                fresh_draws = [
-                    a[lo:hi].tolist() if a is not None else None for a in fresh_a
-                ]
+                fresh_vpages, fresh_offs = zip(*[
+                    r.pick(u[lo:hi]) if u is not None else (None, None)
+                    for r, u in zip(regions, fresh_u_a)
+                ])
                 scan_draw = scan_draw_a[lo:hi].tolist()
                 out_vpages: List[int] = []
                 out_offs: List[int] = []
@@ -508,7 +533,7 @@ class ConsolidatedWorkload:
                 vpages_append = out_vpages.append
                 offs_append = out_offs.append
                 writes_append = out_writes.append
-                for i in range(_CHUNK):
+                for i in range(hi - lo):
                     if window and reuse_draw[i] < reuse_prob:
                         rid, vpage, off = window[reuse_pick[i] % len(window)]
                     else:
@@ -519,7 +544,8 @@ class ConsolidatedWorkload:
                             off = scan_pos % bpp
                             scan_pos = (scan_pos + 1) % scan_blocks
                         else:
-                            vpage, off = region_pairs[rid][fresh_draws[rid][i]]
+                            vpage = fresh_vpages[rid][i]
+                            off = fresh_offs[rid][i]
                             item = (rid, vpage, off)
                             if len(window) < reuse_window:
                                 window.append(item)
@@ -530,3 +556,4 @@ class ConsolidatedWorkload:
                     offs_append(off)
                     writes_append(wdraw[i] < wprobs[rid])
                 yield out_vpages, out_offs, out_writes, thinks
+            bounds = _BOUNDS

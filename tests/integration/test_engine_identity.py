@@ -95,6 +95,38 @@ def test_api_simulate_records_engine_in_manifest(tmp_path):
     assert default.manifest.engine == "object"
 
 
+@pytest.mark.parametrize("engine", ["object", "array"])
+def test_simulate_releases_trace_streams(engine, monkeypatch):
+    # simulate() finishes every trace stream it started (the array
+    # engine's chunk streams included) and drops the workload's region
+    # caches before returning, without waiting for the cyclic GC
+    from repro.api import simulate
+    from repro.workloads.generator import ConsolidatedWorkload
+
+    streams = []
+    workloads = []
+    for name in ("trace", "trace_chunks"):
+        original = getattr(ConsolidatedWorkload, name)
+
+        def record(self, tile, _original=original):
+            workloads.append(self)
+            stream = _original(self, tile)
+            streams.append(stream)
+            return stream
+
+        monkeypatch.setattr(ConsolidatedWorkload, name, record)
+    spec = spec_for("dico", cycles=1_500, warmup=500)
+    first = simulate(spec, engine=engine).stats
+    assert streams
+    assert all(stream.gi_frame is None for stream in streams)
+    for workload in workloads:
+        assert not workload._region_cache
+        assert not workload._zipf_cache
+    # a released run leaves nothing behind that changes the next one
+    again = simulate(spec, engine=engine).stats
+    assert stats_to_dict(again) == stats_to_dict(first)
+
+
 def test_unknown_engine_is_rejected():
     with pytest.raises(ValueError, match="warp"):
         spec_for("directory").execute(engine="warp")

@@ -1,5 +1,6 @@
 """Unit tests for the synthetic trace generator."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -145,3 +146,63 @@ def test_write_fractions_roughly_respected(setup):
     write_frac = sum(o.is_write for o in ops) / len(ops)
     # radix: ~0.3 private / 0.12 shared weighted -> ~0.2 overall
     assert 0.1 < write_frac < 0.35
+
+
+#: sha256 of the first 9,000 ops of ``trace(first tile of each VM)``
+#: (seed 1, paper-scaled chip).  9,000 ops cross the ramped first batch
+#: and two 4,096-op batch boundaries, far past the few hundred ops per
+#: core that the benchmark's stats digests reach.
+GOLDEN_STREAMS = {
+    "mixed-com": {
+        0: "2944c189370b19ea6530d96fdc6bede35b75029dd096dbf67f259a65ddbb83b4",
+        4: "f6ae50f428698759ee8dec963198aa8a103d11d64e4af239986336ba825a6697",
+        32: "a0cf7773d13d924e6d6d0f255290a302f800f77fa8a768365e5e904e96871669",
+        36: "7419f42ebed3e3926bfdba821228b8f6c8909b16e38fa58e7befc726648512d4",
+    },
+    "mixed-sci": {
+        0: "ade8473a155123703e5ac0f027d6d5ac1632a3b6221bbdc159858d8c4adec2c1",
+        4: "3832935198b43fa2dabc8f2a6a45f12306d20058949a8214e72eabf50f7d0ff2",
+        32: "043af41f65de728a8b4c1d1dc969600abfb9c62f041af3cb19efadf29f43928f",
+        36: "f9f687a0af2411129cbf519b5b2f0736adee89d47a98db5a31209fd63769dc6f",
+    },
+}
+
+
+def _paper_scaled_workload(mix):
+    from repro.sim.chip import paper_scaled_chip
+
+    cfg = paper_scaled_chip()
+    areas = AreaMap(cfg.mesh_width, cfg.mesh_height, cfg.n_areas)
+    am = AddressMap(
+        phys_addr_bits=cfg.phys_addr_bits,
+        block_bytes=cfg.block_bytes,
+        page_bytes=cfg.memory.page_bytes,
+        n_tiles=cfg.n_tiles,
+    )
+    placement = VMPlacement.area_aligned(areas, 4)
+    return ConsolidatedWorkload(mix, placement, am, seed=1)
+
+
+@pytest.mark.parametrize("mix", sorted(GOLDEN_STREAMS))
+def test_trace_stream_matches_golden(mix):
+    w = _paper_scaled_workload(mix)
+    got = {}
+    for vm in w.placement.vms:
+        tile = w.placement.tiles_of(vm)[0]
+        h = hashlib.sha256()
+        for op in itertools.islice(w.trace(tile), 9000):
+            h.update(b"%d %d %d\n" % (op.addr, op.is_write, op.think))
+        got[tile] = h.hexdigest()
+    assert got == GOLDEN_STREAMS[mix]
+
+
+def test_first_batch_ramps_its_chunks(setup):
+    from repro.workloads.generator import _BATCH, _CHUNK
+
+    chunks = make(setup, "apache").trace_chunks(3)
+    lengths = [len(next(chunks)[0]) for _ in range(13)]
+    first_batch = [32, 32, 64, 128, 256] + [_CHUNK] * 7
+    assert lengths[:12] == first_batch
+    assert sum(first_batch) == _BATCH
+    # later batches are plain _CHUNK-op chunks
+    assert lengths[12] == _CHUNK
