@@ -2,9 +2,10 @@
 
 :class:`ExperimentServer` puts an asyncio HTTP control plane in front
 of the existing sweep machinery.  Every result still flows through the
-same code the CLI uses — :func:`repro.sweep.runner._isolated_worker`
-for process-isolated execution, :class:`~repro.sweep.cache.ResultCache`
-for content-addressed dedup, :class:`~repro.sweep.journal.SweepJournal`
+same code the CLI uses — the warm
+:class:`~repro.sweep.workers.WorkerPool` for process-isolated
+execution, :class:`~repro.sweep.cache.ResultCache` for
+content-addressed dedup, :class:`~repro.sweep.journal.SweepJournal`
 for crash-safe per-point progress — so a grid served over HTTP is
 bit-identical to the same grid run by ``repro sweep``.
 
@@ -16,9 +17,11 @@ The robustness contract:
   memory never grows unboundedly with offered load.
 * **Fair scheduling** — worker slots are granted weighted round-robin
   across tenants (:class:`~repro.serve.scheduling.FairWorkerPool`).
-* **Graceful degradation** — each point attempt runs in its own
-  process with a deadline; crashes/hangs/timeouts become retries with
-  seeded non-blocking backoff and, when exhausted, structured
+* **Graceful degradation** — each point attempt runs on a forked,
+  detached worker with a deadline (workers stay warm across ok
+  attempts and are retired after a failed one);
+  crashes/hangs/timeouts become retries with seeded non-blocking
+  backoff and, when exhausted, structured
   :class:`~repro.faults.FailureRecord` events — never daemon death.
 * **Restart = resume** — job records persist in the
   :class:`~repro.serve.store.JobStore`; completed points persist in
@@ -65,7 +68,7 @@ from ..stats.io import stats_from_dict, stats_to_dict
 from ..sweep.cache import ResultCache, stats_checksum
 from ..sweep.journal import SweepJournal, gc_journals
 from ..sweep.spec import RunSpec
-from .executor import AttemptRegistry, run_attempt
+from .executor import WorkerPool
 from .http import (
     HttpError,
     Request,
@@ -176,7 +179,8 @@ class ExperimentServer:
         self._point_tasks: Dict[Tuple[str, int], asyncio.Task] = {}
         #: single-flight map: spec fingerprint -> in-progress execution
         self._inflight: Dict[str, asyncio.Task] = {}
-        self._attempts = AttemptRegistry()
+        #: warm attempt workers, forked on first demand
+        self._workers = WorkerPool(config.workers)
         self._jobs_seq = 0
         self.counters: Dict[str, int] = {
             "jobs_submitted": 0,
@@ -244,9 +248,10 @@ class ExperimentServer:
 
         With ``drain=True``, in-flight points get ``drain_s`` seconds
         to finish (their completions are journaled as they land).
-        Whatever remains is checkpointed: tasks cancelled, attempt
-        processes killed — the journal's completed points plus the
-        still-``active`` job records make the next start resume them.
+        Whatever remains is checkpointed: tasks cancelled, every
+        worker killed, idle or busy — the journal's completed points
+        plus the still-``active`` job records make the next start
+        resume them.
         """
         if self._server is not None:
             self._server.close()
@@ -261,7 +266,7 @@ class ExperimentServer:
             task.cancel()
         if leftovers:
             await asyncio.wait(leftovers, timeout=5)
-        killed = self._attempts.kill_all()
+        killed = self._workers.kill_all()
         if killed:
             _log.info("shutdown: killed %d in-flight attempt(s); their "
                       "points will re-run on resume", killed)
@@ -457,7 +462,7 @@ class ExperimentServer:
             await self.pool.acquire(tenant)
             try:
                 kind, data, elapsed = await asyncio.to_thread(
-                    run_attempt, payload, policy.timeout_s, self._attempts
+                    self._workers.run, payload, policy.timeout_s
                 )
             finally:
                 self.pool.release(tenant)
@@ -766,7 +771,7 @@ class ExperimentServer:
         return {
             "uptime_s": round(time.monotonic() - self._started_monotonic, 3),
             "started_unix": round(self._started_unix, 3),
-            "workers": self.pool.snapshot(),
+            "workers": {**self.pool.snapshot(), **self._workers.counters()},
             "admission": self.admission.snapshot(),
             "jobs": {"total": len(self.jobs), "by_status": jobs_by_status},
             "points": {

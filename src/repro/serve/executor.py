@@ -1,146 +1,37 @@
-"""One isolated execution attempt of one grid point.
+"""Isolated execution attempts for the daemon: one warm worker pool.
 
 The daemon needs exactly the slice of the sweep runner's resilience
-the scheduler can await concurrently: *run this spec once, in its own
-process, kill it at the deadline, and tell me how it ended*.  The
-worker entry point is literally the sweep runner's
-(:func:`repro.sweep.runner._isolated_worker`), so fault injection,
-crash containment and the stats codec behave bit-for-bit the same
-whether a point ran under ``repro sweep`` or ``repro serve``.
+the scheduler can await concurrently: *run this spec once, isolated,
+kill it at the deadline, and tell me how it ended*.  It gets that from
+the same :class:`~repro.sweep.workers.WorkerPool` the sweep's isolated
+executor uses, so fault injection, crash containment and the stats
+codec behave bit-for-bit the same whether a point ran under
+``repro sweep`` or ``repro serve``.
 
-:func:`run_attempt` is synchronous and blocking — the daemon calls it
-through ``asyncio.to_thread`` while holding one
+The daemon owns one pool of at most ``--workers`` warm workers for its
+lifetime, forked on first demand (never at start).  A worker is kept
+after an ``ok`` attempt and retired — killed, replaced by a fresh fork
+on the next attempt — after an ``exception``, ``crash`` or
+``timeout``.  Each worker detaches on start: default SIGTERM/SIGINT
+handling, no signal wakeup fd, and none of the daemon's sockets, so a
+signal sent to a worker ends only that attempt, a client's result
+stream reaches EOF when the daemon closes it, and workers of a daemon
+killed hard see EOF on their task pipe and exit.
+
+:meth:`WorkerPool.run` is synchronous and blocking — the daemon calls
+it through ``asyncio.to_thread`` while holding one
 :class:`~repro.serve.scheduling.FairWorkerPool` slot.  Retry backoff
 happens *outside*, in the async layer, with the slot released.
 
-:class:`AttemptRegistry` tracks the live child processes so a daemon
-shutdown can hard-kill in-flight attempts instead of leaking them; the
-journal still only records completed points, so killed attempts simply
-re-run after a restart.
+On shutdown :meth:`WorkerPool.kill_all` hard-kills idle and busy
+workers and refuses further attempts; the journal still only records
+completed points, so killed attempts simply re-run after a restart.
+The pool's ``spawned``/``reused``/``retired`` counters appear under
+``workers`` in ``/stats``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import threading
-import time
-from multiprocessing.connection import wait as _connection_wait
-from typing import Any, Dict, Optional, Tuple
+from ..sweep.workers import AttemptOutcome, WorkerPool
 
-from ..sweep.runner import _isolated_worker
-
-__all__ = ["AttemptOutcome", "AttemptRegistry", "run_attempt"]
-
-#: ``(kind, payload, elapsed_s)`` where kind is ``ok`` (payload = stats
-#: document), ``exception`` (payload = failure fields), ``crash`` or
-#: ``timeout`` (payload = message string)
-AttemptOutcome = Tuple[str, Any, float]
-
-
-class AttemptRegistry:
-    """Thread-safe set of live attempt processes (for shutdown kill)."""
-
-    def __init__(self) -> None:
-        self._procs: set = set()
-        self._lock = threading.Lock()
-        self._draining = False
-
-    def add(self, proc) -> bool:
-        with self._lock:
-            if self._draining:
-                return False
-            self._procs.add(proc)
-            return True
-
-    def discard(self, proc) -> None:
-        with self._lock:
-            self._procs.discard(proc)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._procs)
-
-    def kill_all(self) -> int:
-        """Hard-kill every live attempt; further adds are refused."""
-        with self._lock:
-            self._draining = True
-            procs = list(self._procs)
-            self._procs.clear()
-        for proc in procs:
-            try:
-                proc.kill()
-            except (OSError, ValueError):  # pragma: no cover - already dead
-                pass
-        for proc in procs:
-            proc.join(timeout=5)
-        return len(procs)
-
-
-def run_attempt(
-    payload: Dict[str, Any],
-    timeout_s: Optional[float],
-    registry: Optional[AttemptRegistry] = None,
-) -> AttemptOutcome:
-    """Execute one attempt in a fresh process; never raises for the
-    attempt's own failures.
-
-    ``payload`` is a :class:`~repro.sweep.spec.RunSpec` document plus
-    the ``__attempt__``/``__fault_plan__`` dunder keys the sweep worker
-    understands.  Returns an :data:`AttemptOutcome`.
-    """
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn"
-    )
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
-    proc = ctx.Process(
-        target=_isolated_worker, args=(child_conn, payload), daemon=True
-    )
-    start = time.monotonic()
-    proc.start()
-    child_conn.close()
-    if registry is not None and not registry.add(proc):
-        # the daemon is draining: don't start new work
-        proc.kill()
-        proc.join(timeout=5)
-        parent_conn.close()
-        return ("crash", "daemon shutting down", 0.0)
-    deadline = None if timeout_s is None else start + timeout_s
-    try:
-        while True:
-            timeout = (
-                None if deadline is None
-                else max(0.0, deadline - time.monotonic())
-            )
-            _connection_wait([parent_conn, proc.sentinel], timeout=timeout)
-            elapsed = time.monotonic() - start
-            if parent_conn.poll():
-                try:
-                    msg = parent_conn.recv()
-                except (EOFError, OSError):
-                    return ("crash", "worker died mid-reply", elapsed)
-                if msg[0] == "ok":
-                    return ("ok", msg[1], msg[2])
-                return ("exception", msg[1], elapsed)
-            if not proc.is_alive():
-                return (
-                    "crash",
-                    "worker process died without a result "
-                    f"(exit code {proc.exitcode})",
-                    elapsed,
-                )
-            if deadline is not None and time.monotonic() >= deadline:
-                proc.kill()
-                return (
-                    "timeout",
-                    f"attempt exceeded timeout_s={timeout_s}",
-                    elapsed,
-                )
-    finally:
-        if registry is not None:
-            registry.discard(proc)
-        try:
-            parent_conn.close()
-        except OSError:
-            pass
-        proc.join(timeout=5)
+__all__ = ["AttemptOutcome", "WorkerPool"]

@@ -16,6 +16,8 @@ function of its :class:`RunSpec`:
   CLI (``python -m repro sweep``) and the ``benchmarks/`` suite;
 * ``journal.py`` — per-grid checkpoint log enabling
   ``python -m repro sweep --resume`` after crashes or Ctrl-C.
+* ``workers.py`` — the warm, failure-retiring worker pool behind the
+  isolated executor and the ``repro serve`` daemon.
 
 Resilience (timeouts, retries, deterministic fault injection) comes
 from :mod:`repro.faults`; the relevant names are re-exported here.

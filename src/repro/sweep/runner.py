@@ -27,10 +27,15 @@ serial/pool paths — same processes, same codec, same bits.
 
 Failure isolation needs real process boundaries (a hung or dying
 worker cannot be preempted from within), so any non-default policy or
-active plan routes pending specs through a process-per-attempt
-executor that can kill on timeout, observe hard worker deaths
-(``SIGKILL``-style, exit without a result message) and retry with
-deterministic exponential backoff.
+active plan routes pending specs through the isolated executor: each
+attempt runs on a forked worker of a
+:class:`~repro.sweep.workers.WorkerPool` that the parent can kill on
+timeout, whose hard death (``SIGKILL``-style, exit without a result
+message) it observes, and whose failed attempts it retries with
+deterministic exponential backoff.  Workers stay warm across ok
+attempts, are retired after a failed one, detach from the parent's
+signal handling and sockets on start, and are all killed when the
+sweep ends.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ from ..stats.io import stats_from_dict, stats_to_dict
 from .cache import ResultCache
 from .journal import SweepJournal
 from .spec import RunSpec
+from .workers import Attempt, WorkerPool
 
 __all__ = [
     "SweepExecutionError",
@@ -191,39 +197,6 @@ def _execute_payload(payload: Dict[str, Any]) -> Tuple[Dict[str, Any], float]:
     return doc, elapsed
 
 
-def _isolated_worker(conn, payload: Dict[str, Any]) -> None:
-    """Entry point of a process-per-attempt worker.
-
-    Sends exactly one ``("ok", stats_doc, elapsed)`` or
-    ``("error", failure_doc)`` message; a process that dies without
-    sending anything is a crash by definition.
-    """
-    global _IN_WORKER
-    _IN_WORKER = True
-    try:
-        doc, elapsed = _execute_payload(payload)
-        conn.send(("ok", doc, elapsed))
-    except BaseException as exc:  # a worker must report, never re-raise
-        try:
-            conn.send(
-                (
-                    "error",
-                    {
-                        "exc_type": type(exc).__name__,
-                        "message": str(exc),
-                        "traceback_tail": _traceback_tail(),
-                    },
-                )
-            )
-        except (OSError, ValueError, BrokenPipeError):  # parent is gone
-            pass
-    finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
-
-
 def _default_progress(line: str) -> None:
     print(line, file=sys.stderr, flush=True)
 
@@ -237,10 +210,7 @@ class _Attempt:
     attempt: int
     #: wall time already spent on earlier attempts of this spec
     elapsed_before: float
-    proc: Any
-    conn: Any
-    started: float
-    deadline: Optional[float]
+    handle: Attempt
 
 
 class SweepRunner:
@@ -528,22 +498,21 @@ class SweepRunner:
         fps: List[str],
         mark: Callable[[int, SweepResult], None],
     ) -> None:
-        """Process-per-attempt execution with kill/retry/skip semantics.
+        """Worker-pool execution with kill/retry/skip semantics.
 
-        Each attempt runs in its own child process talking back over a
-        pipe, so the parent can kill a hung attempt at its deadline and
-        observe a hard death (process exit without a result message) —
-        neither is possible with ``Pool.imap``.  Up to ``jobs``
-        attempts run concurrently; retries re-enter the queue after
-        their seeded backoff delay.
+        Each attempt runs on a forked worker of a :class:`WorkerPool`
+        talking back over a pipe, so the parent can kill a hung attempt
+        at its deadline and observe a hard death (process exit without
+        a result message) — neither is possible with ``Pool.imap``.  Up
+        to ``jobs`` attempts run concurrently; retries re-enter the
+        queue after their seeded backoff delay.  A worker stays warm
+        across ok attempts and is retired after a failed one; all
+        workers are killed and joined when this returns.
         """
         policy = self.policy
         plan = self.fault_plan
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn"
-        )
         max_workers = max(1, min(self.jobs, len(pending)))
+        pool = WorkerPool(max_workers)
         seq = itertools.count()
 
         # (index, spec, attempt_no, elapsed_on_earlier_attempts)
@@ -553,42 +522,22 @@ class SweepRunner:
         ready.reverse()  # pop() from the end keeps spec order
         # min-heap of (ready_time, seq, index, spec, attempt, elapsed)
         waiting: List[Tuple[float, int, int, RunSpec, int, float]] = []
-        running: Dict[Any, _Attempt] = {}
+        running: List[_Attempt] = []
 
-        def spawn(i: int, spec: RunSpec, attempt: int, before: float) -> None:
+        def start(i: int, spec: RunSpec, attempt: int, before: float) -> None:
             payload = self._payload(spec)
             payload["__attempt__"] = attempt
             if plan is not None:
                 payload["__fault_plan__"] = plan.to_dict()
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_isolated_worker,
-                args=(child_conn, payload),
-                daemon=True,
+            running.append(
+                _Attempt(
+                    index=i,
+                    spec=spec,
+                    attempt=attempt,
+                    elapsed_before=before,
+                    handle=pool.start(payload, policy.timeout_s),
+                )
             )
-            proc.start()
-            child_conn.close()
-            now = time.monotonic()
-            running[parent_conn] = _Attempt(
-                index=i,
-                spec=spec,
-                attempt=attempt,
-                elapsed_before=before,
-                proc=proc,
-                conn=parent_conn,
-                started=now,
-                deadline=None
-                if policy.timeout_s is None
-                else now + policy.timeout_s,
-            )
-
-        def reap(task: _Attempt) -> None:
-            del running[task.conn]
-            try:
-                task.conn.close()
-            except OSError:
-                pass
-            task.proc.join(timeout=5)
 
         def fail_attempt(
             task: _Attempt,
@@ -598,7 +547,9 @@ class SweepRunner:
             message: str = "",
             traceback_tail: str = "",
         ) -> None:
-            elapsed = task.elapsed_before + (time.monotonic() - task.started)
+            elapsed = task.elapsed_before + (
+                time.monotonic() - task.handle.started
+            )
             if task.attempt <= policy.max_retries:
                 delay = policy.backoff_delay(fps[task.index], task.attempt)
                 _log.info(
@@ -665,7 +616,7 @@ class SweepRunner:
                     ready.append((i, spec, attempt, before))
                 while ready and len(running) < max_workers:
                     i, spec, attempt, before = ready.pop()
-                    spawn(i, spec, attempt, before)
+                    start(i, spec, attempt, before)
                 if not running:
                     if waiting:
                         time.sleep(max(0.0, waiting[0][0] - time.monotonic()))
@@ -675,11 +626,11 @@ class SweepRunner:
                 # deadline expires or a backoff matures
                 wait_for: List[Any] = []
                 timeout: Optional[float] = None
-                for task in running.values():
-                    wait_for.append(task.conn)
-                    wait_for.append(task.proc.sentinel)
-                    if task.deadline is not None:
-                        left = task.deadline - now
+                for task in running:
+                    wait_for += task.handle.waitables()
+                    deadline = task.handle.deadline
+                    if deadline is not None:
+                        left = deadline - now
                         timeout = left if timeout is None else min(timeout, left)
                 if waiting:
                     left = waiting[0][0] - now
@@ -689,58 +640,25 @@ class SweepRunner:
                     timeout=None if timeout is None else max(0.0, timeout),
                 )
 
-                now = time.monotonic()
-                for task in list(running.values()):
-                    if task.conn.poll():
-                        try:
-                            msg = task.conn.recv()
-                        except (EOFError, OSError):
-                            reap(task)
-                            fail_attempt(task, "crash",
-                                         message="worker died mid-reply")
-                            continue
-                        reap(task)
-                        if msg[0] == "ok":
-                            complete(task, msg[1], msg[2])
-                        else:
-                            fail_attempt(
-                                task,
-                                "exception",
-                                exc_type=msg[1].get("exc_type", ""),
-                                message=msg[1].get("message", ""),
-                                traceback_tail=msg[1].get("traceback_tail", ""),
-                            )
-                    elif not task.proc.is_alive():
-                        exitcode = task.proc.exitcode
-                        reap(task)
+                for task in list(running):
+                    outcome = task.handle.poll()
+                    if outcome is None:
+                        continue
+                    running.remove(task)
+                    kind, data, elapsed = outcome
+                    if kind == "ok":
+                        complete(task, data, elapsed)
+                    elif kind == "exception":
                         fail_attempt(
                             task,
-                            "crash",
-                            message=(
-                                "worker process died without a result "
-                                f"(exit code {exitcode})"
-                            ),
+                            kind,
+                            exc_type=data.get("exc_type", ""),
+                            message=data.get("message", ""),
+                            traceback_tail=data.get("traceback_tail", ""),
                         )
-                    elif task.deadline is not None and now >= task.deadline:
-                        task.proc.kill()
-                        reap(task)
-                        fail_attempt(
-                            task,
-                            "timeout",
-                            message=(
-                                f"attempt exceeded timeout_s="
-                                f"{policy.timeout_s}"
-                            ),
-                        )
+                    else:  # crash | timeout
+                        fail_attempt(task, kind, message=data)
         finally:
             # abandoning the executor (Ctrl-C, on_failure="raise", an
             # unexpected error) must never leak worker processes
-            for task in list(running.values()):
-                task.proc.kill()
-            for task in list(running.values()):
-                task.proc.join(timeout=5)
-                try:
-                    task.conn.close()
-                except OSError:
-                    pass
-            running.clear()
+            pool.kill_all()

@@ -7,7 +7,10 @@ are tiny (~0.1 s of simulation), so the whole module stays fast.
 """
 
 import json
+import os
+import signal
 import threading
+import time
 
 import pytest
 
@@ -170,6 +173,19 @@ def test_health_stats_and_listing(server):
     assert stats["workers"]["slots"] == 2
     assert "rejected" in stats["admission"]
     assert "quarantined" in stats["cache"]
+
+
+def test_workers_are_warm_and_counted(server):
+    client, _ = server
+    events = client.wait_job(client.submit(tiny_docs(8, seed0=80))["job_id"])
+    assert all(e["status"] == "ok" and not e["cached"] for e in events)
+    stats = client.stats()
+    attempts = stats["points"]["executed"] + stats["points"]["retries"]
+    assert attempts == 8
+    workers = stats["workers"]
+    assert workers["spawned"] <= 2
+    assert workers["spawned"] + workers["reused"] == attempts
+    assert workers["retired"] == {"exception": 0, "crash": 0, "timeout": 0}
 
 
 # ------------------------------------------------------------- validation
@@ -367,3 +383,63 @@ def test_restart_resumes_active_job(tmp_path):
         assert client2.job(sub["job_id"])["status"] == "done"
     finally:
         st2.stop(client2)
+
+
+# ------------------------------------------------------------ signals
+
+
+def child_pids(pid):
+    """Pids whose parent is ``pid``."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid and fields[0] != "Z":
+            found.append(int(entry))
+    return found
+
+
+def test_sigterm_to_a_busy_worker_spares_the_daemon(tmp_path):
+    """Signalling an attempt's worker ends that attempt only.
+
+    The daemon process installs asyncio signal handlers; a worker that
+    inherited them would forward its SIGTERM into the daemon's event
+    loop and shut the whole daemon down.
+    """
+    from repro.serve.bench import DaemonProc
+
+    daemon = DaemonProc(
+        str(tmp_path / "cache"), workers=1, extra=["--retries", "0"]
+    )
+    client = daemon.start()
+    try:
+        long_point = RunSpec(
+            protocol="dico",
+            workload="apache",
+            seed=1,
+            cycles=2_000_000,
+            warmup=500,
+            config=TINY,
+        ).to_dict()
+        job = client.submit([long_point], tenant="alice")["job_id"]
+        deadline = time.monotonic() + 30.0
+        while not child_pids(daemon.proc.pid):
+            assert time.monotonic() < deadline, "no attempt worker appeared"
+            time.sleep(0.02)
+        (worker,) = child_pids(daemon.proc.pid)
+        time.sleep(0.2)  # let the attempt get going
+        os.kill(worker, signal.SIGTERM)
+        events = client.wait_job(job)
+        assert events[0]["status"] == "failed"
+        assert events[0]["failure"]["kind"] == "crash"
+        assert client.health()["status"] == "ok"
+        assert daemon.proc.poll() is None
+        retired = client.stats()["workers"]["retired"]
+        assert retired["crash"] == 1
+    finally:
+        assert daemon.stop() == 0

@@ -1,13 +1,13 @@
-"""Process-isolated attempt execution: outcomes, deadlines, registry.
+"""Process-isolated attempt execution: outcomes, deadlines, shutdown.
 
 These use the same tiny specs and fault plans as the sweep resilience
-suite — the worker entry point is shared, so behavior must match.
+suite — the worker pool is shared, so behavior must match.
 """
 
 import pytest
 
 from repro.faults import FaultPlan, FaultRule
-from repro.serve.executor import AttemptRegistry, run_attempt
+from repro.serve.executor import WorkerPool
 from repro.sim.config import small_test_chip
 from repro.stats.io import stats_from_dict
 from repro.sweep.spec import RunSpec, config_to_dict
@@ -31,67 +31,68 @@ def tiny_payload(attempt=1, plan=None, seed=1):
     return spec, payload
 
 
-def test_ok_attempt_returns_stats_doc():
+@pytest.fixture
+def pool():
+    pool = WorkerPool(1)
+    yield pool
+    pool.kill_all()
+
+
+def test_ok_attempt_returns_stats_doc(pool):
     spec, payload = tiny_payload()
-    kind, doc, elapsed = run_attempt(payload, timeout_s=60.0)
+    kind, doc, elapsed = pool.run(payload, timeout_s=60.0)
     assert kind == "ok"
     stats = stats_from_dict(doc)
     assert stats.operations > 0
     assert elapsed > 0
 
 
-def test_injected_crash_is_contained():
+def test_injected_crash_is_contained(pool):
     plan = FaultPlan(seed=3, rules=(FaultRule(kind="crash", rate=1.0),))
     spec, payload = tiny_payload(plan=plan)
-    kind, message, _elapsed = run_attempt(payload, timeout_s=60.0)
+    kind, message, _elapsed = pool.run(payload, timeout_s=60.0)
     assert kind == "crash"
     assert "died" in message
 
 
-def test_injected_hang_hits_the_deadline():
+def test_injected_hang_hits_the_deadline(pool):
     plan = FaultPlan(
         seed=3, rules=(FaultRule(kind="hang", rate=1.0),), hang_s=30.0
     )
     spec, payload = tiny_payload(plan=plan)
-    kind, message, elapsed = run_attempt(payload, timeout_s=1.0)
+    kind, message, elapsed = pool.run(payload, timeout_s=1.0)
     assert kind == "timeout"
     assert elapsed < 15.0  # killed at the deadline, not after hang_s
 
 
-def test_bad_spec_is_an_exception_outcome():
+def test_bad_spec_is_an_exception_outcome(pool):
     _spec, payload = tiny_payload()
     payload["protocol"] = "no-such-protocol"
-    kind, failure, _elapsed = run_attempt(payload, timeout_s=60.0)
+    kind, failure, _elapsed = pool.run(payload, timeout_s=60.0)
     assert kind == "exception"
     assert failure["exc_type"]
     assert failure["message"]
 
 
-def test_fault_only_on_matched_attempt():
+def test_fault_only_on_matched_attempt(pool):
     plan = FaultPlan(
         seed=3, rules=(FaultRule(kind="crash", rate=1.0, times=1),)
     )
     _spec, payload = tiny_payload(attempt=2, plan=plan)
-    kind, _doc, _elapsed = run_attempt(payload, timeout_s=60.0)
+    kind, _doc, _elapsed = pool.run(payload, timeout_s=60.0)
     assert kind == "ok"  # times=1 leaves attempt 2 alone
 
 
-def test_registry_refuses_work_while_draining():
-    registry = AttemptRegistry()
-    assert registry.kill_all() == 0
+def test_pool_refuses_work_while_draining(pool):
+    assert pool.kill_all() == 0
     _spec, payload = tiny_payload()
-    kind, message, elapsed = run_attempt(
-        payload, timeout_s=60.0, registry=registry
-    )
+    kind, message, elapsed = pool.run(payload, timeout_s=60.0)
     assert kind == "crash"
     assert "shutting down" in message
 
 
-def test_registry_tracks_and_discards():
-    registry = AttemptRegistry()
+def test_pool_tracks_and_discards(pool):
     _spec, payload = tiny_payload()
-    kind, _doc, _elapsed = run_attempt(
-        payload, timeout_s=60.0, registry=registry
-    )
+    kind, _doc, _elapsed = pool.run(payload, timeout_s=60.0)
     assert kind == "ok"
-    assert len(registry) == 0  # discarded after completion
+    assert len(pool) == 0  # no attempt in flight after completion
